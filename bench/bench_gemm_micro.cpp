@@ -5,9 +5,12 @@
 // the 256x256 DOINN refine convs); the table also covers the three layout
 // variants, the full conv2d forward (explicit im2col vs implicit packing),
 // the 1x1 fast path, and the Fourier Unit's per-mode spectral mixing.
-// Finishes by checking that conv2d outputs are bitwise identical to the
-// pre-PR formulation and across thread counts, and writes the table as
-// machine-readable BENCH_gemm.json for cross-PR perf tracking.
+// Two rows time the gather-free strip feed of the full-resolution 3x3
+// convs against the element gather it replaced (bitwise-gated). Finishes
+// by checking that conv2d outputs are bitwise identical to the pre-PR
+// formulation and across thread counts, and writes the table as
+// machine-readable BENCH_gemm.json (stamped with hardware threads and the
+// dispatched fp32 kernel tier) for cross-PR perf tracking.
 //
 // A second section covers the load-time prepacking path (tensor/prepack.h):
 // PackedWeight vs per-call PackedA on pack-bound serving GEMM shapes, plus
@@ -23,7 +26,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <random>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -31,6 +36,7 @@
 #include "bench_util.h"
 #include "runtime/thread_pool.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/prepack.h"
 #include "tensor/tensor.h"
 
@@ -150,6 +156,68 @@ litho::Tensor conv2d_forward(const litho::Tensor& x, const litho::Tensor& w,
   return out;
 }
 
+// The implicit-im2col gather feed that served every stride-1 conv before
+// the gather-free strip feed: each pack() copies the requested panels of
+// the logical im2col matrix element by element, with bounds checks.
+class Im2colGather final : public litho::BPanelPacker {
+ public:
+  Im2colGather(const float* x, int64_t h, int64_t w, int64_t k,
+               int64_t padding)
+      : x_(x), h_(h), w_(w), k_(k), padding_(padding),
+        ow_(litho::ag::conv_out_size(w, k, 1, padding)) {}
+
+  void pack(int64_t k0, int64_t k1, int64_t j0, int64_t j1,
+            float* dst) const override {
+    constexpr int64_t NR = litho::kGemmNR;
+    const int64_t klen = k1 - k0;
+    const int64_t panels = (j1 - j0 + NR - 1) / NR;
+    for (int64_t t = 0; t < panels; ++t) {
+      float* p = dst + t * klen * NR;
+      const int64_t c0 = j0 + t * NR;
+      const int64_t nr = std::min(NR, j1 - c0);
+      int64_t oy[NR], ox[NR];
+      int64_t y = c0 / ow_, xo = c0 % ow_;
+      for (int64_t j = 0; j < nr; ++j) {
+        oy[j] = y;
+        ox[j] = xo;
+        if (++xo == ow_) {
+          xo = 0;
+          ++y;
+        }
+      }
+      const bool one_row = oy[0] == oy[nr - 1];
+      for (int64_t kk = k0; kk < k1; ++kk) {
+        const int64_t dx = kk % k_ - padding_;
+        const int64_t dy = (kk / k_) % k_ - padding_;
+        const float* plane = x_ + (kk / (k_ * k_)) * h_ * w_;
+        float* d = p + (kk - k0) * NR;
+        if (one_row) {
+          const int64_t iy = oy[0] + dy;
+          const int64_t ix0 = ox[0] + dx;
+          if (iy >= 0 && iy < h_ && ix0 >= 0 && ix0 + nr <= w_) {
+            const float* src = plane + iy * w_ + ix0;
+            for (int64_t j = 0; j < nr; ++j) d[j] = src[j];
+            for (int64_t j = nr; j < NR; ++j) d[j] = 0.f;
+            continue;
+          }
+        }
+        for (int64_t j = 0; j < nr; ++j) {
+          const int64_t iy = oy[j] + dy;
+          const int64_t ix = ox[j] + dx;
+          d[j] = (iy >= 0 && iy < h_ && ix >= 0 && ix < w_)
+                     ? plane[iy * w_ + ix]
+                     : 0.f;
+        }
+        for (int64_t j = nr; j < NR; ++j) d[j] = 0.f;
+      }
+    }
+  }
+
+ private:
+  const float* x_;
+  int64_t h_, w_, k_, padding_, ow_;
+};
+
 // Seed per-mode complex contraction (serial bixy,ioxy->boxy loop).
 void cmode(int64_t bsz, int64_t ci, int64_t co, int64_t xy, const float* vr,
            const float* vi, const float* wr, const float* wi, float* zr,
@@ -225,20 +293,34 @@ void write_rows(FILE* f, const std::vector<Row>& rows, const char* base_key) {
   }
 }
 
+// The fp32 micro-kernel table the dispatcher picked on this host.
+const char* fp32_tier() {
+  return &litho::detail::micro_kernels() == &litho::detail::baseline_kernels()
+             ? "baseline"
+             : "avx2";
+}
+
 void write_json(const char* path, double prepack_x, double int8_x,
-                double prepack_gate, double int8_gate, bool bitwise) {
+                double prepack_gate, double int8_gate, bool bitwise,
+                bool strip_bitwise) {
   FILE* f = std::fopen(path, "w");
   if (!f) return;
-  std::fprintf(f, "{\n  \"gemm\": [\n");
+  std::fprintf(f,
+               "{\n  \"host\": {\"hw_threads\": %u, \"threads\": %d, "
+               "\"fp32_tier\": \"%s\"},\n",
+               std::thread::hardware_concurrency(),
+               litho::runtime::ThreadPool::default_num_threads(), fp32_tier());
+  std::fprintf(f, "  \"gemm\": [\n");
   write_rows(f, g_rows, "legacy_ms");
   std::fprintf(f, "  ],\n  \"precision\": [\n");
   write_rows(f, g_prec, "base_ms");
   std::fprintf(f,
                "  ],\n  \"gates\": {\"prepack_fp32_speedup\": %.3f, "
                "\"prepack_fp32_min\": %.2f, \"int8_speedup\": %.3f, "
-               "\"int8_min\": %.2f, \"prepack_bitwise\": %s}\n}\n",
+               "\"int8_min\": %.2f, \"prepack_bitwise\": %s, "
+               "\"strip_bitwise\": %s}\n}\n",
                prepack_x, prepack_gate, int8_x, int8_gate,
-               bitwise ? "true" : "false");
+               bitwise ? "true" : "false", strip_bitwise ? "true" : "false");
   std::fclose(f);
 }
 
@@ -256,8 +338,10 @@ int main(int argc, char** argv) {
     }
   }
   litho::bench::banner("bench_gemm_micro: packed tiled GEMM + implicit im2col");
-  std::printf("threads=%d reps=%d  (MR=%lld NR=%lld KC=%lld NC=%lld)\n\n",
-              litho::runtime::ThreadPool::default_num_threads(), reps,
+  std::printf("threads=%d hw_threads=%u fp32 tier=%s reps=%d  "
+              "(MR=%lld NR=%lld KC=%lld NC=%lld)\n\n",
+              litho::runtime::ThreadPool::default_num_threads(),
+              std::thread::hardware_concurrency(), fp32_tier(), reps,
               (long long)litho::kGemmMR, (long long)litho::kGemmNR,
               (long long)litho::kGemmKC, (long long)litho::kGemmNC);
   std::printf("%-26s %-18s %12s %12s %8s\n", "case", "shape", "legacy", "packed",
@@ -385,6 +469,55 @@ int main(int argc, char** argv) {
         reps, [&] { o2 = litho::ag::conv2d(xv, wv, bv, 1, 0).value(); });
     report("conv2d 1x1 fast path", "2x16x256^2->16", leg, neu);
     ok = ok && max_abs_diff(o1, o2) == 0.0;
+  }
+
+  // -- Gather-free 3x3 convs: the two full-resolution refine convs of the
+  // 128 px small-config forward (convr2 m8·k144, convr4 m1·k72) at batch 4,
+  // through the prepacked conv core (strip feed) vs the same prepacked
+  // weights fed by the element gather it replaced. Same (sample, column
+  // block) fan-out on both sides; outputs must match bit for bit.
+  bool strip_bitwise = true;
+  {
+    struct StripCase {
+      const char* label;
+      int64_t cin, cout;
+    };
+    const StripCase cases[] = {{"conv 3x3 strip m8 k144", 16, 8},
+                               {"conv 3x3 strip m1 k72", 8, 1}};
+    const int64_t bsz = 4, hw = 128, l = hw * hw;
+    for (const StripCase& sc : cases) {
+      const int64_t ckk = sc.cin * 9;
+      Tensor x = Tensor::randn({bsz, sc.cin, hw, hw}, rng);
+      Tensor w = Tensor::randn({sc.cout, sc.cin, 3, 3}, rng, 0.f, 0.1f);
+      Tensor bias = Tensor::randn({sc.cout}, rng);
+      const auto wp = std::make_shared<const litho::PackedWeight>(
+          litho::GemmLayout::kNN, w.data(), sc.cout, ckk,
+          litho::Precision::kFp32);
+      const litho::ag::Variable xv(x), wv(w), bv(bias);
+      Tensor gathered({bsz, sc.cout, hw, hw}), strip;
+      const int64_t blocks = litho::gemm_col_blocks(l);
+      litho::GemmEpilogue ep;
+      ep.bias = bias.data();
+      const double t_gather = best_seconds(reps, [&] {
+        litho::runtime::parallel_for(bsz * blocks, [&](int64_t t0, int64_t t1) {
+          for (int64_t t = t0; t < t1; ++t) {
+            const int64_t s = t / blocks;
+            const legacy::Im2colGather feed(x.data() + s * sc.cin * l, hw, hw,
+                                            3, 1);
+            litho::gemm_col_block(wp->fp32_view(), feed, l, t % blocks,
+                                  gathered.data() + s * sc.cout * l, ep);
+          }
+        });
+      });
+      const double t_strip = best_seconds(reps, [&] {
+        strip = litho::ag::conv2d_prepacked(xv, wv, wp, bv, 1, 1).value();
+      });
+      char shape[64];
+      std::snprintf(shape, sizeof(shape), "4x %lldx%lldx%lld",
+                    (long long)sc.cout, (long long)ckk, (long long)l);
+      report(sc.label, shape, t_gather, t_strip);
+      strip_bitwise = strip_bitwise && max_abs_diff(gathered, strip) == 0.0;
+    }
   }
 
   // -- Fourier Unit spectral mixing (per-mode complex matmul) -------------
@@ -531,6 +664,10 @@ int main(int argc, char** argv) {
               deterministic ? "yes" : "NO");
   ok = ok && deterministic;
 
+  std::printf("gather-free conv bitwise identical to the element gather: %s\n",
+              strip_bitwise ? "yes" : "NO");
+  ok = ok && strip_bitwise;
+
   std::printf("headline speedup (batched convr1 GEMM): %.2fx (>= 3x: %s)\n",
               headline, headline >= 3.0 ? "yes" : "NO");
   ok = ok && headline >= 3.0;
@@ -549,7 +686,7 @@ int main(int argc, char** argv) {
   ok = ok && int8_x >= int8_gate;
 
   write_json("BENCH_gemm.json", prepack_x, int8_x, prepack_gate, int8_gate,
-             prec_bitwise);
+             prec_bitwise, strip_bitwise);
   std::printf("wrote BENCH_gemm.json (%zu + %zu rows)\n", g_rows.size(),
               g_prec.size());
   return ok ? 0 : 1;

@@ -17,12 +17,19 @@
 //   - executor speedup >= 1.15x on the batched tile forward (--quick keeps
 //     the same floor on the smaller model; headroom is ~2x).
 //
+// It also prints a per-node profile (GraphExecutor::profile: kind, conv
+// GEMM shape, median ms, GFLOP/s, share of the forward) of the
+// DoinnConfig::small() 128 px forward at batch {1, 4} x threads {1, 2},
+// in both modes, so every run records which layer the time went to.
+//
 // Tracing is enabled while the executor engine compiles and for the warmup
 // replays — so a --trace-out file carries the exec.capture / exec.plan /
 // exec.replay spans CI validates with scripts/trace_summary.py — then
 // disabled for the timed phase. The results are merged into BENCH_gemm.json
 // in the working directory as a "graph_exec" section (run bench_gemm_micro
-// first to get the GEMM sections; this bench only rewrites its own section).
+// first to get the GEMM sections; this bench only rewrites its own section);
+// the per-node profile goes into that section and, standalone, into
+// BENCH_layers.json.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -31,10 +38,12 @@
 #include <string>
 #include <vector>
 
+#include "autograd/grad_mode.h"
 #include "bench_util.h"
 #include "core/doinn.h"
 #include "runtime/alloc_hooks.h"
 #include "runtime/engine.h"
+#include "runtime/graph_exec.h"
 #include "runtime/metrics_registry.h"
 #include "runtime/trace.h"
 
@@ -151,6 +160,106 @@ std::string json_rows() {
     s += buf;
   }
   return s;
+}
+
+// -- Per-node profile ------------------------------------------------------
+
+struct ProfileRun {
+  int64_t batch = 0;
+  int threads = 0;
+  std::vector<runtime::NodeProfile> nodes;
+};
+
+// Captures and compiles (autotuned, as the engine does) the small-config
+// forward at @p batch on a @p threads-wide pool, then profiles @p reps
+// replays.
+ProfileRun profile_small(int64_t batch, int threads, int reps) {
+  const core::DoinnConfig cfg = core::DoinnConfig::small();
+  std::mt19937 rng(42);
+  core::Doinn model(cfg, rng);
+  model.set_training(false);
+  model.prepack_forward(litho::Precision::kFp32);
+  runtime::ThreadPool pool(threads);
+  runtime::ScopedPool scope(&pool);
+
+  Tensor probe({batch, 1, cfg.tile, cfg.tile});
+  for (int64_t i = 0; i < batch; ++i) {
+    const Tensor m = random_mask(cfg.tile, 300 + static_cast<uint32_t>(i));
+    std::copy(m.data(), m.data() + m.numel(), probe.data() + i * m.numel());
+  }
+  runtime::ExecutorOptions xo;
+  xo.autotune = true;
+  runtime::GraphExecutor exec(
+      runtime::capture_graph(
+          probe, [&](const litho::ag::Variable& v) { return model.forward(v); }),
+      xo);
+  std::unique_ptr<runtime::ExecContext> ctx = exec.acquire();
+  std::copy(probe.data(), probe.data() + probe.numel(), ctx->input(0));
+  exec.run(*ctx);  // warm pooled scratch
+  ProfileRun run{batch, threads, exec.profile(*ctx, reps)};
+  exec.release(std::move(ctx));
+  return run;
+}
+
+double total_ms(const ProfileRun& r) {
+  double t = 0.0;
+  for (const runtime::NodeProfile& p : r.nodes) t += p.median_ms;
+  return t;
+}
+
+// Nodes at >= 1% of the forward, plus the full-resolution conv subtotal.
+void print_profile(const ProfileRun& r, int64_t full_l) {
+  std::printf("\nper-node profile: small config, batch %lld, %d thread(s), "
+              "%.2f ms per forward\n",
+              static_cast<long long>(r.batch), r.threads, total_ms(r));
+  std::printf("  %-4s %-18s %6s %6s %7s %9s %9s %7s\n", "node", "kind", "m",
+              "k", "l", "ms", "GFLOP/s", "share");
+  double full_ms = 0.0;
+  for (size_t i = 0; i < r.nodes.size(); ++i) {
+    const runtime::NodeProfile& p = r.nodes[i];
+    if (p.conv.valid && !p.conv.transposed && p.conv.l == full_l) {
+      full_ms += p.median_ms;
+    }
+    if (p.share < 0.01) continue;
+    std::printf("  %-4zu %-18s %6lld %6lld %7lld %9.3f %9.2f %6.1f%%\n", i,
+                p.kind, static_cast<long long>(p.conv.m),
+                static_cast<long long>(p.conv.k),
+                static_cast<long long>(p.conv.l), p.median_ms, p.gflops,
+                100.0 * p.share);
+  }
+  std::printf("  l=%lld conv nodes: %.2f ms (%.1f%% of the forward)\n",
+              static_cast<long long>(full_l), full_ms,
+              100.0 * full_ms / std::max(total_ms(r), 1e-9));
+}
+
+std::string json_profile(const std::vector<ProfileRun>& runs) {
+  std::string s = "[\n";
+  char buf[512];
+  for (size_t ri = 0; ri < runs.size(); ++ri) {
+    const ProfileRun& r = runs[ri];
+    std::snprintf(buf, sizeof buf,
+                  "      {\"config\": \"small\", \"batch\": %lld, "
+                  "\"threads\": %d, \"total_ms\": %.3f, \"nodes\": [\n",
+                  static_cast<long long>(r.batch), r.threads, total_ms(r));
+    s += buf;
+    for (size_t i = 0; i < r.nodes.size(); ++i) {
+      const runtime::NodeProfile& p = r.nodes[i];
+      std::snprintf(
+          buf, sizeof buf,
+          "        {\"kind\": \"%s\", \"m\": %lld, \"k\": %lld, "
+          "\"l\": %lld, \"batch\": %lld, \"transposed\": %s, "
+          "\"flops\": %.0f, \"ms\": %.4f, \"gflops\": %.3f, "
+          "\"share\": %.4f}%s\n",
+          p.kind, static_cast<long long>(p.conv.m),
+          static_cast<long long>(p.conv.k), static_cast<long long>(p.conv.l),
+          static_cast<long long>(p.conv.batch),
+          p.conv.transposed ? "true" : "false", p.flops, p.median_ms,
+          p.gflops, p.share, i + 1 < r.nodes.size() ? "," : "");
+      s += buf;
+    }
+    s += ri + 1 < runs.size() ? "      ]},\n" : "      ]}\n";
+  }
+  return s + "    ]";
 }
 
 }  // namespace
@@ -286,6 +395,17 @@ int main(int argc, char** argv) {
   std::printf("arena bytes (all plans): %lld\n",
               static_cast<long long>(arena_bytes));
 
+  // -- Per-node profile (small config, independent of --quick's model) -----
+  std::vector<ProfileRun> profiles;
+  for (const int64_t batch : {int64_t{1}, int64_t{4}}) {
+    for (const int threads : {1, 2}) {
+      profiles.push_back(profile_small(batch, threads, quick ? 5 : 15));
+      print_profile(profiles.back(), core::DoinnConfig::small().tile *
+                                         core::DoinnConfig::small().tile);
+    }
+  }
+  const std::string profile_json = json_profile(profiles);
+
   // -- Artifacts ----------------------------------------------------------
   char gates[512];
   std::snprintf(gates, sizeof gates,
@@ -299,9 +419,14 @@ int main(int argc, char** argv) {
                 static_cast<long long>(arena_bytes));
   merge_graph_exec_section(
       "BENCH_gemm.json",
-      std::string("{\n    \"rows\": [\n") + json_rows() + "    ],\n" + gates +
-          "  }");
-  std::printf("merged graph_exec section into BENCH_gemm.json (%zu rows)\n",
+      std::string("{\n    \"rows\": [\n") + json_rows() + "    ],\n" +
+          "    \"profile\": " + profile_json + ",\n" + gates + "  }");
+  if (FILE* f = std::fopen("BENCH_layers.json", "w")) {
+    std::fprintf(f, "{\n  \"profile\": %s\n}\n", profile_json.c_str());
+    std::fclose(f);
+  }
+  std::printf("merged graph_exec section into BENCH_gemm.json (%zu rows); "
+              "wrote BENCH_layers.json\n",
               g_rows.size());
 
   if (!trace_out.empty()) {

@@ -61,6 +61,7 @@ struct NodeTuning {
   std::vector<EpiloguePostStage> post;  // fused elementwise epilogue
   std::vector<Tensor> keepalive;        // buffers the stages point into
   std::vector<Im2colStep> im2col;       // per-row gather table (may be empty)
+  std::vector<int32_t> koff;            // per-row strip offsets (gather-free)
   int64_t nc = 0;                       // column-block width (0 = default)
   BFeed bfeed = BFeed::kAuto;           // B-feed strategy
 };
@@ -82,6 +83,9 @@ struct ConvInfo {
   bool valid = false;
   bool transposed = false;
   bool pointwise = false;  // 1x1 stride-1: B is strided-viewable
+  // Stride-1, non-pointwise fp32: B comes from the per-block strip
+  // (BStripView), so the B-feed knob has nothing to choose.
+  bool gather_free = false;
   int64_t m = 0, k = 0, l = 0, batch = 0;
   Precision prec = Precision::kFp32;
 };

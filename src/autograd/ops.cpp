@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -45,16 +47,81 @@ struct ConvDims {
 // identical to the explicit im2col + GEMM formulation.
 
 /// Logical B = im2col(x): row k = (channel, ki, kj), column j = (oy, ox).
+///
+/// Stride-1 convolutions also offer the engine's gather-free strip feed
+/// (gemm.h BStripView): the strip holds, for each padded input row a block
+/// needs, all `channels` rows side by side, each w + 2·padding wide with
+/// zeroed borders. Pixel (oy, ox) of tap (c, ki, kj) then sits at
+///   koff(k) + (oy - oy0)·pitch + ox,  koff(k) = ki·pitch + c·sw + kj,
+/// so koff depends on the conv geometry alone, not on the block. Stride-2
+/// convs (whose taps are not contiguous runs) keep the pack() gather.
 class Im2colPacker final : public BPanelPacker {
  public:
   /// @p steps (nullable) is a capture-time Im2colStep table indexed by
   /// logical row kk; with it, pack() skips the per-row channel/ki/kj
-  /// decode. Same gathered values either way.
-  Im2colPacker(const float* x, int64_t h, int64_t w, int64_t k,
-               int64_t stride, int64_t padding, int64_t ow,
-               const Im2colStep* steps = nullptr)
-      : x_(x), h_(h), w_(w), k_(k), stride_(stride), padding_(padding),
-        ow_(ow), steps_(steps) {}
+  /// decode. @p koff (nullable) is the matching capture-time strip offset
+  /// table (strip_offsets() computes the same values otherwise). Same
+  /// values either way.
+  Im2colPacker(const float* x, int64_t channels, int64_t h, int64_t w,
+               int64_t k, int64_t stride, int64_t padding, int64_t ow,
+               const Im2colStep* steps = nullptr,
+               const int32_t* koff = nullptr)
+      : x_(x), channels_(channels), h_(h), w_(w), k_(k), stride_(stride),
+        padding_(padding), ow_(ow), steps_(steps), koff_(koff) {}
+
+  bool strip_view(BStripView* view) const override {
+    // Offsets are int32 (below k · pitch); geometries past that keep the
+    // gather.
+    if (stride_ != 1 || k_ * channels_ * (w_ + 2 * padding_) >
+                            std::numeric_limits<int32_t>::max()) {
+      return false;
+    }
+    view->width = ow_;
+    view->pitch = channels_ * (w_ + 2 * padding_);
+    view->halo = k_ - 1;
+    return true;
+  }
+
+  void fill_strip(int64_t j0, int64_t j1, float* strip) const override {
+    const int64_t sw = w_ + 2 * padding_;
+    const int64_t pitch = channels_ * sw;
+    const int64_t oy0 = j0 / ow_, oy1 = (j1 - 1) / ow_;
+    // A block inside one output row reads only the strip columns its
+    // pixels' windows cover; otherwise whole padded rows.
+    const int64_t q0 = oy0 == oy1 ? j0 % ow_ : 0;
+    const int64_t q1 = oy0 == oy1 ? (j1 - 1) % ow_ + k_ : sw;
+    // In-image strip columns [a, b) within [q0, q1): strip column q holds
+    // input column q - padding.
+    const int64_t a = std::min(std::max(q0, padding_), q1);
+    const int64_t b = std::max(a, std::min(q1, padding_ + w_));
+    for (int64_t r = 0; r < oy1 - oy0 + k_; ++r) {
+      const int64_t iy = oy0 + r - padding_;
+      for (int64_t c = 0; c < channels_; ++c) {
+        float* d = strip + r * pitch + c * sw;
+        if (iy < 0 || iy >= h_) {
+          std::fill(d + q0, d + q1, 0.f);
+          continue;
+        }
+        std::fill(d + q0, d + a, 0.f);
+        std::memcpy(d + a, x_ + (c * h_ + iy) * w_ + (a - padding_),
+                    sizeof(float) * static_cast<size_t>(b - a));
+        std::fill(d + b, d + q1, 0.f);
+      }
+    }
+  }
+
+  const int32_t* strip_offsets(int64_t k0, int64_t k1,
+                               int32_t* scratch) const override {
+    if (koff_ != nullptr) return koff_ + k0;
+    const int64_t sw = w_ + 2 * padding_;
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      const int64_t kj = kk % k_;
+      const int64_t ki = (kk / k_) % k_;
+      const int64_t c = kk / (k_ * k_);
+      scratch[kk - k0] = static_cast<int32_t>((ki * channels_ + c) * sw + kj);
+    }
+    return scratch;
+  }
 
   void pack(int64_t k0, int64_t k1, int64_t j0, int64_t j1,
             float* dst) const override {
@@ -119,8 +186,9 @@ class Im2colPacker final : public BPanelPacker {
 
  private:
   const float* x_;
-  int64_t h_, w_, k_, stride_, padding_, ow_;
+  int64_t channels_, h_, w_, k_, stride_, padding_, ow_;
   const Im2colStep* steps_;
+  const int32_t* koff_;
 };
 
 /// Logical B = im2col(x)ᵀ: row k = (oy, ox), column j = (channel, ki, kj).
@@ -318,10 +386,12 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
       const int64_t blk = t % blocks;
       const float* xs = x + s * d.cin * d.h * d.w;
       float* cs = out + s * d.cout * l;
-      const Im2colPacker im(xs, d.h, d.w, d.kh, stride, padding, d.ow,
-                            tuning != nullptr && !tuning->im2col.empty()
-                                ? tuning->im2col.data()
-                                : nullptr);
+      const Im2colPacker im(
+          xs, d.cin, d.h, d.w, d.kh, stride, padding, d.ow,
+          tuning != nullptr && !tuning->im2col.empty() ? tuning->im2col.data()
+                                                       : nullptr,
+          tuning != nullptr && !tuning->koff.empty() ? tuning->koff.data()
+                                                     : nullptr);
       const StridedBPacker direct(xs, l, /*transposed=*/false);
       const BPanelPacker& bp =
           pointwise ? static_cast<const BPanelPacker&>(direct)
@@ -711,7 +781,8 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
           const StridedBPacker bp(xs, l, /*transposed=*/false);
           gemm_col_block(wp, bp, l, blk, cs, ep);
         } else {
-          const Im2colPacker bp(xs, d.h, d.w, d.kh, stride, padding, d.ow);
+          const Im2colPacker bp(xs, d.cin, d.h, d.w, d.kh, stride, padding,
+                                d.ow);
           gemm_col_block(wp, bp, l, blk, cs, ep);
         }
       }
@@ -803,16 +874,31 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
   Variable out_v(std::move(out));
   if (GraphRecorder* rec = active_recorder()) {
     auto tuning = std::make_shared<NodeTuning>();
-    // Shape-specialized gather table: one decode per logical im2col row,
-    // amortized over every replay (row order matches the packer's
-    // kk = (channel * kh + ki) * kw + kj decode).
-    tuning->im2col.reserve(static_cast<size_t>(ckk));
-    for (int64_t c = 0; c < d.cin; ++c) {
-      for (int64_t ki = 0; ki < d.kh; ++ki) {
-        for (int64_t kj = 0; kj < d.kw; ++kj) {
-          tuning->im2col.push_back({c * d.h * d.w,
-                                    static_cast<int32_t>(ki - padding),
-                                    static_cast<int32_t>(kj - padding)});
+    const bool pointwise =
+        d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
+    const Im2colPacker geometry(nullptr, d.cin, d.h, d.w, d.kh, stride,
+                                padding, d.ow);
+    BStripView strip;
+    const bool gather_free = !pointwise &&
+                             wp->precision() == Precision::kFp32 &&
+                             geometry.strip_view(&strip);
+    if (gather_free) {
+      // Strip offset per logical im2col row, computed once by the packer
+      // geometry that reads it.
+      tuning->koff.resize(static_cast<size_t>(ckk));
+      geometry.strip_offsets(0, ckk, tuning->koff.data());
+    } else if (!pointwise) {
+      // Shape-specialized gather table: one decode per logical im2col row,
+      // amortized over every replay (row order matches the packer's
+      // kk = (channel * kh + ki) * kw + kj decode).
+      tuning->im2col.reserve(static_cast<size_t>(ckk));
+      for (int64_t c = 0; c < d.cin; ++c) {
+        for (int64_t ki = 0; ki < d.kh; ++ki) {
+          for (int64_t kj = 0; kj < d.kw; ++kj) {
+            tuning->im2col.push_back({c * d.h * d.w,
+                                      static_cast<int32_t>(ki - padding),
+                                      static_cast<int32_t>(kj - padding)});
+          }
         }
       }
     }
@@ -828,8 +914,8 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
     node.tuning = tuning;
     node.conv.valid = true;
     node.conv.transposed = false;
-    node.conv.pointwise =
-        d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
+    node.conv.pointwise = pointwise;
+    node.conv.gather_free = gather_free;
     node.conv.m = d.cout;
     node.conv.k = ckk;
     node.conv.l = d.oh * d.ow;
@@ -942,8 +1028,9 @@ Variable conv_transpose2d(const Variable& x, const Variable& w,
             for (int64_t t = t0; t < t1; ++t) {
               const int64_t s = t / blocks;
               const int64_t blk = t % blocks;
-              const Im2colPacker bp(g.data() + s * d.cout * d.oh * d.ow, d.oh,
-                                    d.ow, d.kh, stride, padding, d.w);
+              const Im2colPacker bp(g.data() + s * d.cout * d.oh * d.ow,
+                                    d.cout, d.oh, d.ow, d.kh, stride, padding,
+                                    d.w);
               gemm_col_block(wp, bp, l, blk, gx.data() + s * d.cin * l,
                              GemmEpilogue{});
             }

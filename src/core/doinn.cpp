@@ -1,6 +1,7 @@
 #include "core/doinn.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "io/io.h"
 
@@ -35,6 +36,20 @@ void DoinnConfig::validate() const {
   }
   if (modes <= 0 || gp_channels <= 0) {
     throw std::invalid_argument("modes and channels must be positive");
+  }
+}
+
+void DoinnConfig::check_input_extent(int64_t h, int64_t w) const {
+  const std::string extent = std::to_string(h) + "x" + std::to_string(w);
+  if (h <= 0 || w <= 0 || h % (pool * 4) != 0 || w % (pool * 4) != 0) {
+    throw std::invalid_argument("DOINN input extent " + extent +
+                                " must be divisible by " +
+                                std::to_string(pool * 4));
+  }
+  if (modes > h / pool || modes > (w / pool) / 2 + 1) {
+    throw std::invalid_argument("DOINN input extent " + extent +
+                                " is too small for " + std::to_string(modes) +
+                                " retained modes");
   }
 }
 
@@ -151,9 +166,7 @@ ag::Variable Doinn::forward(const ag::Variable& x) {
   if (x.shape().size() != 4 || x.shape()[1] != 1) {
     throw std::invalid_argument("DOINN expects [N,1,H,W] input");
   }
-  if (x.shape()[2] % (cfg_.pool * 4) != 0 || x.shape()[3] % (cfg_.pool * 4) != 0) {
-    throw std::invalid_argument("DOINN input extent must be divisible by 32");
-  }
+  cfg_.check_input_extent(x.shape()[2], x.shape()[3]);
   return forward_from_gp(gp_features(x), x);
 }
 

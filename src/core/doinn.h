@@ -58,6 +58,13 @@ struct DoinnConfig {
   int64_t lp3() const { return gp_channels; }
 
   void validate() const;
+
+  /// Throws std::invalid_argument unless an h x w input can run the
+  /// forward: both extents divisible by 4*pool (three stride-2 LP levels
+  /// must land on the pooled GP grid) and a pooled half spectrum that holds
+  /// the retained modes. Exactly the shapes the forward would otherwise
+  /// reject deep inside the GP path.
+  void check_input_extent(int64_t h, int64_t w) const;
 };
 
 /// The DOINN contour model.

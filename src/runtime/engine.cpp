@@ -221,6 +221,11 @@ std::vector<Tensor> InferenceEngine::predict_batch(
           "predict_batch requires equally-shaped 2-D masks");
     }
   }
+  // Reject shapes the model cannot run before a plan is built for them: a
+  // capture over such a shape would throw deep in the forward and leave a
+  // dead plan plus an engine.plan_fallbacks bump (that counter means
+  // "executor miscompile", not "bad request").
+  config().check_input_extent(h, w);
 
   if (opts_.use_graph_executor) {
     Plan& p = plan_for(kForwardPlan, n, h, w);

@@ -85,7 +85,9 @@ class InferenceEngine {
   /// The masks are stacked into one [N,1,H,W] batch and pushed through a
   /// single no-grad forward pass, so the batched conv / FFT kernels
   /// parallelize across samples. Per-sample results are bitwise identical
-  /// to core::predict_contour.
+  /// to core::predict_contour. Throws std::invalid_argument — before any
+  /// plan is built — for shapes the model cannot run
+  /// (DoinnConfig::check_input_extent).
   std::vector<Tensor> predict_batch(const std::vector<Tensor>& masks);
 
   /// Binarized contour for a mask larger than the training tile: the
@@ -96,7 +98,8 @@ class InferenceEngine {
   Tensor predict_large(const Tensor& mask);
 
   /// Dispatches on mask size: plain batched path for masks up to the
-  /// training tile, large-tile scheme above it.
+  /// training tile, large-tile scheme above it. Unrunnable tile-sized
+  /// shapes throw std::invalid_argument as in predict_batch.
   Tensor predict(const Tensor& mask);
 
   /// Plans built so far (one per distinct forward kind x input shape).

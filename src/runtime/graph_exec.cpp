@@ -156,6 +156,51 @@ void GraphExecutor::run(ExecContext& ctx) const {
   }
 }
 
+std::vector<NodeProfile> GraphExecutor::profile(ExecContext& ctx,
+                                                int reps) const {
+  reps = std::max(reps, 1);
+  const size_t nodes = schedule_.size();
+  std::vector<std::vector<double>> ms(nodes);
+  for (int r = 0; r < reps; ++r) {
+    for (size_t i = 0; i < nodes; ++i) {
+      const ag::CaptureNode& node =
+          graph_->nodes[static_cast<size_t>(schedule_[i])];
+      ag::ReplayIO io;
+      io.ins = ctx.ins_.data() + in_off_[i];
+      io.outs = ctx.outs_.data() + out_off_[i];
+      const auto t0 = std::chrono::steady_clock::now();
+      node.run(io);
+      const auto t1 = std::chrono::steady_clock::now();
+      ms[i].push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  }
+
+  std::vector<NodeProfile> out(nodes);
+  double total = 0.0;
+  for (size_t i = 0; i < nodes; ++i) {
+    const ag::CaptureNode& node =
+        graph_->nodes[static_cast<size_t>(schedule_[i])];
+    std::vector<double>& t = ms[i];
+    std::sort(t.begin(), t.end());
+    const size_t mid = t.size() / 2;
+    NodeProfile& p = out[i];
+    p.kind = node.kind;
+    p.conv = node.conv;
+    p.median_ms = t.size() % 2 == 1 ? t[mid] : 0.5 * (t[mid - 1] + t[mid]);
+    if (node.conv.valid) {
+      p.flops = 2.0 * static_cast<double>(node.conv.m) *
+                static_cast<double>(node.conv.k) *
+                static_cast<double>(node.conv.l) *
+                static_cast<double>(node.conv.batch);
+      if (p.median_ms > 0.0) p.gflops = p.flops / (p.median_ms * 1e6);
+    }
+    total += p.median_ms;
+  }
+  for (NodeProfile& p : out) p.share = total > 0.0 ? p.median_ms / total : 0.0;
+  return out;
+}
+
 // Folds single-consumer elementwise chains behind a non-transposed conv into
 // the conv's GEMM epilogue. Each folded stage is the standalone op's exact
 // per-element expression applied after the full K loop, so the fold changes
@@ -350,7 +395,8 @@ struct TuneChoice {
 // every knob is bitwise-neutral, so sharing one decision across engines with
 // different pool widths costs nothing and keeps every engine in a process on
 // the identical plan.
-using TuneKey = std::tuple<bool, int, int64_t, int64_t, int64_t, int64_t>;
+using TuneKey =
+    std::tuple<bool, bool, int, int64_t, int64_t, int64_t, int64_t>;
 
 std::mutex tune_mutex;
 std::map<TuneKey, TuneChoice>& tune_cache() {
@@ -387,8 +433,9 @@ void GraphExecutor::autotune(int64_t budget_ms) {
         graph_->nodes[static_cast<size_t>(schedule_[si])];
     if (!node.conv.valid || node.tuning == nullptr) continue;
 
-    const TuneKey key{node.conv.transposed, static_cast<int>(node.conv.prec),
-                      node.conv.m, node.conv.k, node.conv.l, node.conv.batch};
+    const TuneKey key{node.conv.transposed, node.conv.gather_free,
+                      static_cast<int>(node.conv.prec), node.conv.m,
+                      node.conv.k, node.conv.l, node.conv.batch};
     {
       std::lock_guard<std::mutex> lock(tune_mutex);
       auto it = tune_cache().find(key);
@@ -416,6 +463,8 @@ void GraphExecutor::autotune(int64_t budget_ms) {
     for (int64_t nc : {int64_t{0}, int64_t{128}, int64_t{512}}) {
       for (BFeed bf : {BFeed::kAuto, BFeed::kStream, BFeed::kPack}) {
         if (nc == 0 && bf == BFeed::kAuto) continue;  // already timed
+        // The strip feed ignores BFeed: only the block width is a choice.
+        if (node.conv.gather_free && bf != BFeed::kAuto) continue;
         if (std::chrono::steady_clock::now() >= deadline) break;
         const TuneChoice cand{nc, bf};
         const double t = time_with(cand);

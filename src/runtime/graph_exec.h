@@ -61,6 +61,16 @@ struct ExecutorOptions {
 
 class GraphExecutor;
 
+/// Timing of one live node, as measured by GraphExecutor::profile.
+struct NodeProfile {
+  const char* kind = "";  // capture kind ("conv2d", "add", ...)
+  ag::ConvInfo conv;      // valid for GEMM-backed conv nodes only
+  double flops = 0.0;     // 2·m·k·l·batch for conv nodes, else 0
+  double median_ms = 0.0;
+  double gflops = 0.0;    // flops / median time (0 for non-conv nodes)
+  double share = 0.0;     // median_ms / sum of every node's median_ms
+};
+
 /// One in-flight replay's buffers: the arena plus per-node pointer tables
 /// resolved against it at construction. Acquire from the executor, fill
 /// input(), run, read output(), release — contexts recycle through a free
@@ -106,6 +116,12 @@ class GraphExecutor {
 
   /// Replays the graph over the context's buffers.
   void run(ExecContext& ctx) const;
+
+  /// Replays the graph @p reps times over @p ctx, timing every live node
+  /// separately, and returns one entry per live node in schedule order.
+  /// The node sequence is exactly run()'s, so the output buffers end up
+  /// as after a plain replay.
+  std::vector<NodeProfile> profile(ExecContext& ctx, int reps) const;
 
   /// Planned arena size in bytes.
   int64_t arena_bytes() const { return arena_floats_ * int64_t{4}; }

@@ -56,6 +56,84 @@ void pack_a_panels(GemmLayout layout, const float* a, int64_t m, int64_t k,
 
 namespace {
 
+// Strip position of logical column j (see BStripView).
+int64_t strip_pos(const BStripView& sv, int64_t row0, int64_t j) {
+  return (j / sv.width - row0) * sv.pitch + j % sv.width;
+}
+
+// One K step of one MC stripe over a column block [j0, j1) whose B is the
+// gather-free strip. A tile whose NR columns sit on one grid row is a
+// contiguous run of the strip, read in place by the offset-addressed
+// kernels (four at a time for m = 1); ragged and row-straddling tiles are
+// gathered from the strip into `stage` and run through the panel kernels.
+// Every path performs the same per-element k-ordered mul-then-add.
+void strip_tiles(const detail::MicroKernelTable& kern, const BStripView& sv,
+                 const float* strip, int64_t row0, const int32_t* koff,
+                 int64_t klen, const float* apanels, int64_t panel_stride,
+                 int64_t mtiles, int64_t i0, int64_t m, int64_t j0, int64_t j1,
+                 float* c, int64_t n, bool init, const float* bias,
+                 float* stage) {
+  // Columns [c0, c0 + cols) are one contiguous strip run.
+  auto run_of = [&](int64_t c0, int64_t cols) {
+    return c0 + cols <= j1 && c0 % sv.width + cols <= sv.width;
+  };
+  for (int64_t c0 = j0; c0 < j1;) {
+    const float* b0 = strip + strip_pos(sv, row0, c0);
+    if (m == 1 && run_of(c0, 4 * NR)) {
+      kern.add_off_row4(klen, apanels, b0, koff, c + c0, init, bias);
+      c0 += 4 * NR;
+      continue;
+    }
+    if (!run_of(c0, NR)) {
+      const int64_t nr = std::min(NR, j1 - c0);
+      int64_t pos[NR];
+      for (int64_t j = 0; j < nr; ++j) pos[j] = strip_pos(sv, row0, c0 + j);
+      for (int64_t kk = 0; kk < klen; ++kk) {
+        const float* src = strip + koff[kk];
+        float* d = stage + kk * NR;
+        int64_t j = 0;
+        for (; j < nr; ++j) d[j] = src[pos[j]];
+        for (; j < NR; ++j) d[j] = 0.f;
+      }
+      for (int64_t it = 0; it < mtiles; ++it) {
+        const int64_t r0 = i0 + it * MR;
+        const int64_t mr = std::min(MR, m - r0);
+        float* ct = c + r0 * n + c0;
+        const float* brow = bias ? bias + r0 : nullptr;
+        if (mr == MR && nr == NR) {
+          kern.add(klen, apanels + it * panel_stride, stage, NR, ct, n, init,
+                   brow);
+        } else {
+          kern.add_edge(klen, apanels + it * panel_stride, stage, NR, ct, n,
+                        mr, nr, init, brow);
+        }
+      }
+      c0 += nr;
+      continue;
+    }
+    const bool pair = kern.add_off_pair != nullptr && run_of(c0 + NR, NR);
+    const float* b1 = pair ? strip + strip_pos(sv, row0, c0 + NR) : nullptr;
+    for (int64_t it = 0; it < mtiles; ++it) {
+      const float* apan = apanels + it * panel_stride;
+      const int64_t r0 = i0 + it * MR;
+      const int64_t mr = std::min(MR, m - r0);
+      float* ct = c + r0 * n + c0;
+      const float* brow = bias ? bias + r0 : nullptr;
+      if (pair && mr == MR) {
+        kern.add_off_pair(klen, apan, b0, b1, koff, ct, n, init, brow);
+      } else if (mr == MR) {
+        kern.add_off(klen, apan, b0, koff, ct, n, init, brow);
+      } else {
+        kern.add_off_edge(klen, apan, b0, koff, ct, n, mr, init, brow);
+        if (pair) {
+          kern.add_off_edge(klen, apan, b1, koff, ct + NR, n, mr, init, brow);
+        }
+      }
+    }
+    c0 += pair ? 2 * NR : NR;
+  }
+}
+
 // One column block [block*kNC, ...) of C = op(A)·op(B). Either `pa`
 // (pre-packed A panels) or `a_raw` (+layout) must be provided; with raw A,
 // panels are packed per (K step, MC stripe) into pooled scratch.
@@ -99,6 +177,21 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   const float* bbase = nullptr;
   int64_t brstride = 0;
   const bool viewable = bp.direct_view(&bbase, &brstride);
+  // Gather-free (stride-1 convolution): the block's inputs are copied once
+  // into a zero-padded strip — row memcpys plus zeroed borders, sized by
+  // the block, never by the whole operand — and the offset-addressed
+  // kernels read every B row in place at strip + koff[k]. B-feed choices
+  // are moot here: there is no panel to stream, fuse or pack.
+  BStripView sv;
+  const bool strip = !viewable && !ep.subtract && bp.strip_view(&sv);
+  std::optional<runtime::FloatWorkspace> sws;
+  int64_t strip_row0 = 0;
+  if (strip) {
+    strip_row0 = j0 / sv.width;
+    const int64_t rows = (j1 - 1) / sv.width - strip_row0 + 1 + sv.halo;
+    sws.emplace(static_cast<size_t>(rows * sv.pitch));
+    bp.fill_strip(j0, j1, sws->data());
+  }
   bool direct = viewable && (k <= 64 || m <= MR);
   bool fused =
       !direct && viewable && !ep.subtract && kern.add_pair_pack != nullptr;
@@ -117,10 +210,10 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   // only worth it for the skinny-M im2col GEMMs, so it is autotune-gated
   // (the graph executor's per-shape tuner flips BFeed::kPack on when it
   // measures a win) rather than a default.
-  const bool tile_pack = !direct && !fused && !viewable &&
+  const bool tile_pack = !direct && !fused && !viewable && !strip &&
                          ep.bfeed == BFeed::kPack && m <= kGemmMC;
   std::optional<runtime::FloatWorkspace> bws;
-  if (!direct) {
+  if (!direct && !strip) {
     bws.emplace(static_cast<size_t>(
         tile_pack ? 2 * kGemmKC * NR : kGemmKC * jt_count * NR));
   }
@@ -131,17 +224,21 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   }
   // Staging for the (at most one) ragged column tile of a direct-view B:
   // reading NR-wide past j1 could run past B's allocation, so that tile is
-  // packed with zero padding like the workspace path.
+  // packed with zero padding like the workspace path. The strip feed
+  // stages its ragged and row-straddling tiles here too.
   float bedge[kGemmKC * NR];
+  int32_t koff_scratch[kGemmKC];
 
   for (int64_t k0 = 0; k0 < k; k0 += kGemmKC) {
     const int64_t klen = std::min(kGemmKC, k - k0);
     const bool init = (k0 == 0) && !ep.accumulate;
     const bool last = (k0 + klen == k);
     const float* bias = last ? ep.bias : nullptr;
-    if (!direct && !fused && !tile_pack) {
+    if (!direct && !fused && !tile_pack && !strip) {
       bp.pack(k0, k0 + klen, j0, j1, bws->data());
     }
+    const int32_t* koff =
+        strip ? bp.strip_offsets(k0, k0 + klen, koff_scratch) : nullptr;
     bool bedge_filled = false;
     for (int64_t i0 = 0; i0 < m; i0 += kGemmMC) {
       const int64_t rows = std::min(kGemmMC, m - i0);
@@ -157,6 +254,12 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
         panel_stride = klen * MR;
       }
       const int64_t mtiles = ceil_div(rows, MR);
+      if (strip) {
+        strip_tiles(kern, sv, sws->data(), strip_row0, koff, klen, apanels,
+                    panel_stride, mtiles, i0, m, j0, j1, c, n, init, bias,
+                    bedge);
+        continue;
+      }
       for (int64_t t = 0; t < jt_count;) {
         const int64_t c0 = j0 + t * NR;
         const int64_t nr = std::min(NR, j1 - c0);

@@ -2,11 +2,13 @@
 //
 // One micro-kernel serves every dense contraction in the stack: the three
 // layout variants the autograd conv kernels need (NN, AᵀB, ABᵀ), the
-// implicit-im2col convolution fast path (ag::conv2d packs B panels straight
-// from the padded input through the BPanelPacker interface below, so the
-// full Cin·K·K × L column buffer is never materialized), and the Fourier
-// Unit's spectral mixing (clift via split real/imaginary GEMMs,
-// cmode_matmul via the mode-blocked kernel at the bottom of this header).
+// implicit-im2col convolution fast path (ag::conv2d feeds B straight from
+// the input through the BPanelPacker interface below — stride-1 convs read
+// it in place from a small zero-padded strip per column block, others
+// gather panels — so the full Cin·K·K × L column buffer is never
+// materialized), and the Fourier Unit's spectral mixing (clift via split
+// real/imaginary GEMMs, cmode_matmul via the mode-blocked kernel at the
+// bottom of this header).
 //
 // Blocking scheme (see README "GEMM & convolution kernels"):
 //  - C is computed in kMR x kNR register tiles; A and B are repacked into
@@ -110,6 +112,19 @@ struct GemmEpilogue {
 void apply_gemm_post(const GemmEpilogue& ep, float* c, int64_t n, int64_t m,
                      int64_t j0, int64_t j1);
 
+/// Geometry of a gather-free B feed (BPanelPacker::strip_view). Logical
+/// columns form a grid `width` wide (column j is cell (j / width,
+/// j % width)). For a column block [j0, j1), fill_strip() writes a strip of
+/// ((j1-1)/width - j0/width + 1 + halo) * pitch floats in which
+///   B(k, j) == strip[koff(k) + (j/width - j0/width) * pitch + j % width],
+/// koff coming from strip_offsets(). The values read are copies of B, in
+/// the same k order, so this feed never changes a result bit.
+struct BStripView {
+  int64_t width = 0;  // logical columns per grid row
+  int64_t pitch = 0;  // strip floats between consecutive grid rows
+  int64_t halo = 0;   // strip rows beyond the grid rows a block spans
+};
+
 /// Supplies packed B micro-panels to the engine. pack() must fill @p dst
 /// with ceil((j1-j0)/kGemmNR) consecutive micro-panels for logical B rows
 /// [k0,k1) and columns [j0,j1); each micro-panel is (k1-k0) x kGemmNR
@@ -131,6 +146,31 @@ class BPanelPacker {
     (void)base;
     (void)row_stride;
     return false;
+  }
+
+  /// Gather-free feed (stride-1 convolution, see BStripView): report the
+  /// strip geometry and return true, and the fp32 engine then copies each
+  /// column block's inputs once into a zero-padded strip and reads B rows
+  /// in place through the per-k offsets instead of calling pack().
+  /// Default: false.
+  virtual bool strip_view(BStripView* view) const {
+    (void)view;
+    return false;
+  }
+  /// Writes the strip for columns [j0, j1) (strip_view() returned true).
+  virtual void fill_strip(int64_t j0, int64_t j1, float* strip) const {
+    (void)j0;
+    (void)j1;
+    (void)strip;
+  }
+  /// Strip offsets of logical B rows [k0, k1): returns a pointer p with
+  /// p[kk - k0] = koff(kk), either into a table the packer holds or into
+  /// @p scratch (room for k1 - k0 entries).
+  virtual const int32_t* strip_offsets(int64_t k0, int64_t k1,
+                                       int32_t* scratch) const {
+    (void)k0;
+    (void)k1;
+    return scratch;
   }
 };
 

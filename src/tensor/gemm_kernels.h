@@ -39,6 +39,27 @@ struct MicroKernelTable {
                               const float* b1, int64_t bstride, float* pack0,
                               float* pack1, float* c, int64_t ldc, bool init,
                               const float* bias);
+  // Offset-addressed B (the gather-free convolution feed, gemm.h
+  // BStripView): row kk of the B micro-panel is the NR floats at
+  // b + koff[kk]. Same per-lane arithmetic as Fn; full tile.
+  using OffFn = void (*)(int64_t klen, const float* ap, const float* b,
+                         const int32_t* koff, float* c, int64_t ldc,
+                         bool init, const float* bias);
+  // Same with only the first mr rows of C touched (full NR-wide B rows).
+  using OffEdgeFn = void (*)(int64_t klen, const float* ap, const float* b,
+                             const int32_t* koff, float* c, int64_t ldc,
+                             int64_t mr, bool init, const float* bias);
+  // Paired offset tile (wide-ISA tables only): B rows at b0 + koff[kk] and
+  // b1 + koff[kk].
+  using OffPairFn = void (*)(int64_t klen, const float* ap, const float* b0,
+                             const float* b1, const int32_t* koff, float* c,
+                             int64_t ldc, bool init, const float* bias);
+  // m = 1: one C row over 4*NR columns (B rows of 4*NR floats at
+  // b + koff[kk]), using only row 0 of the A panel — the zero-padded A rows
+  // of an MR-row tile are never multiplied.
+  using OffRow4Fn = void (*)(int64_t klen, const float* ap, const float* b,
+                             const int32_t* koff, float* c, bool init,
+                             const float* bias);
   Fn add = nullptr;        // C (+)= A·B
   Fn sub = nullptr;        // C -= A·B
   EdgeFn add_edge = nullptr;
@@ -46,6 +67,10 @@ struct MicroKernelTable {
   PairFn add_pair = nullptr;
   PairFn sub_pair = nullptr;
   PairPackFn add_pair_pack = nullptr;
+  OffFn add_off = nullptr;
+  OffEdgeFn add_off_edge = nullptr;
+  OffPairFn add_off_pair = nullptr;
+  OffRow4Fn add_off_row4 = nullptr;
 };
 
 // Reduced-precision micro-kernels for the prepacked inference path

@@ -1,21 +1,27 @@
 // Tests for the packed tiled GEMM engine and the implicit-im2col
 // convolution path: golden parity against naive references over
 // randomized shapes (including sub-tile, prime and k=0 extents), epilogue
-// semantics, the spectral mixing kernel, float workspace pooling, and
-// cross-thread-count bitwise determinism of conv2d forward/backward.
+// semantics, the spectral mixing kernel, float workspace pooling,
+// cross-thread-count bitwise determinism of conv2d forward/backward, and
+// exact agreement of the conv core (gather-free strip feed and stride-2
+// gather alike) with a k-ordered float reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <sstream>
 #include <tuple>
 #include <vector>
 
+#include "autograd/capture.h"
+#include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernels.h"
+#include "tensor/prepack.h"
 #include "tensor/tensor.h"
 #include "test_util.h"
 
@@ -254,6 +260,87 @@ TEST(Gemm, BaselineAndDispatchedKernelTablesAgreeBitwise) {
   disp.sub(klen, a.data(), b.data(), kGemmNR, s_disp.data(), kGemmNR,
            /*init=*/false, nullptr);
   EXPECT_LE(test::max_abs_diff(s_base, s_disp), ktol);
+
+  // Offset-addressed variants (gather-free conv feed): B row kk is read at
+  // strip + koff[kk]. Scatter the panel rows through a strip with a
+  // non-uniform offset table (4*NR wide for the m = 1 row kernel) and
+  // require the same bits as the packed-panel kernel.
+  constexpr int64_t kRow = 4 * kGemmNR;
+  std::vector<int32_t> koff(static_cast<size_t>(klen));
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    koff[static_cast<size_t>(kk)] =
+        static_cast<int32_t>((klen - 1 - kk) * (kRow + 3) + kk % 3);
+  }
+  Tensor wide = Tensor::randn({klen, kRow}, g);  // B(kk, 0..4*NR)
+  std::vector<float> strip(static_cast<size_t>(klen * (kRow + 3) + kRow), 0.f);
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    for (int64_t j = 0; j < kRow; ++j) {
+      strip[static_cast<size_t>(koff[static_cast<size_t>(kk)] + j)] =
+          wide[kk * kRow + j];
+    }
+  }
+  Tensor tile0({klen, kGemmNR}), tile1({klen, kGemmNR});
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    for (int64_t j = 0; j < kGemmNR; ++j) {
+      tile0[kk * kGemmNR + j] = wide[kk * kRow + j];
+      tile1[kk * kGemmNR + j] = wide[kk * kRow + kGemmNR + j];
+    }
+  }
+  Tensor want({kGemmMR, kGemmNR});
+  base.add(klen, a.data(), tile0.data(), kGemmNR, want.data(), kGemmNR,
+           /*init=*/true, bias.data());
+  for (const detail::MicroKernelTable* t : {&base, &disp}) {
+    Tensor got({kGemmMR, kGemmNR});
+    t->add_off(klen, a.data(), strip.data(), koff.data(), got.data(), kGemmNR,
+               /*init=*/true, bias.data());
+    EXPECT_LE(test::max_abs_diff(got, want), ktol);
+
+    Tensor edge = Tensor::full({kGemmMR, kGemmNR}, -1.f);
+    t->add_off_edge(klen, a.data(), strip.data(), koff.data(), edge.data(),
+                    kGemmNR, /*mr=*/3, /*init=*/true, bias.data());
+    for (int64_t j = 0; j < kGemmNR; ++j) {
+      for (int64_t r = 0; r < 3; ++r) {
+        EXPECT_LE(std::abs(edge[r * kGemmNR + j] - want[r * kGemmNR + j]),
+                  ktol);
+      }
+      EXPECT_EQ(edge[3 * kGemmNR + j], -1.f);  // untouched padded row
+    }
+
+    // m = 1 over four adjacent panels: row 0 of four single-tile calls.
+    Tensor row({kRow});
+    t->add_off_row4(klen, a.data(), strip.data(), koff.data(), row.data(),
+                    /*init=*/true, bias.data());
+    for (int64_t p = 0; p < 4; ++p) {
+      Tensor panel({klen, kGemmNR}), one({kGemmMR, kGemmNR});
+      for (int64_t kk = 0; kk < klen; ++kk) {
+        for (int64_t j = 0; j < kGemmNR; ++j) {
+          panel[kk * kGemmNR + j] = wide[kk * kRow + p * kGemmNR + j];
+        }
+      }
+      base.add(klen, a.data(), panel.data(), kGemmNR, one.data(), kGemmNR,
+               /*init=*/true, bias.data());
+      for (int64_t j = 0; j < kGemmNR; ++j) {
+        EXPECT_LE(std::abs(row[p * kGemmNR + j] - one[j]), ktol);
+      }
+    }
+  }
+  if (disp.add_off_pair != nullptr) {
+    Tensor got({kGemmMR, 2 * kGemmNR}), want1({kGemmMR, kGemmNR});
+    base.add(klen, a.data(), tile1.data(), kGemmNR, want1.data(), kGemmNR,
+             /*init=*/true, bias.data());
+    disp.add_off_pair(klen, a.data(), strip.data(), strip.data() + kGemmNR,
+                      koff.data(), got.data(), 2 * kGemmNR, /*init=*/true,
+                      bias.data());
+    for (int64_t r = 0; r < kGemmMR; ++r) {
+      for (int64_t j = 0; j < kGemmNR; ++j) {
+        EXPECT_LE(std::abs(got[r * 2 * kGemmNR + j] - want[r * kGemmNR + j]),
+                  ktol);
+        EXPECT_LE(std::abs(got[r * 2 * kGemmNR + kGemmNR + j] -
+                           want1[r * kGemmNR + j]),
+                  ktol);
+      }
+    }
+  }
 }
 
 // -- Convolution through the implicit-im2col path -----------------------------
@@ -313,6 +400,128 @@ TEST(ConvGemm, ForwardMatchesNaiveConvolution) {
     EXPECT_LE(test::max_abs_diff(out, ref),
               tol_for(c.cin * c.k * c.k) * 4.f)
         << "case hw=" << c.hw << " k=" << c.k << " stride=" << c.stride;
+  }
+}
+
+// The fp32 conv forward's per-element contract, stated directly: a float
+// running sum over k = (channel, ky, kx) in increasing order, each term one
+// multiply then one add (padding taps multiply zero), bias added last.
+Tensor k_ordered_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
+                        int64_t stride, int64_t padding) {
+  const int64_t n = x.size(0), cin = x.size(1), h = x.size(2), ww = x.size(3);
+  const int64_t cout = w.size(0), kh = w.size(2);
+  const int64_t oh = ag::conv_out_size(h, kh, stride, padding);
+  const int64_t ow = ag::conv_out_size(ww, kh, stride, padding);
+  Tensor out({n, cout, oh, ow});
+  for (int64_t s = 0; s < n; ++s) {
+    for (int64_t co = 0; co < cout; ++co) {
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          float acc = 0.f;
+          for (int64_t ci = 0; ci < cin; ++ci) {
+            for (int64_t ky = 0; ky < kh; ++ky) {
+              for (int64_t kx = 0; kx < kh; ++kx) {
+                const int64_t iy = oy * stride + ky - padding;
+                const int64_t ix = ox * stride + kx - padding;
+                const float xv =
+                    (iy < 0 || iy >= h || ix < 0 || ix >= ww)
+                        ? 0.f
+                        : x[((s * cin + ci) * h + iy) * ww + ix];
+                acc += w[((co * cin + ci) * kh + ky) * kh + kx] * xv;
+              }
+            }
+          }
+          out[((s * cout + co) * oh + oy) * ow + ox] = acc + bias[co];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Captures one prepacked conv and runs its replay closure with column-block
+// width @p nc — the graph executor's path, including the capture-time
+// gather and strip-offset tables.
+Tensor replay_prepacked_conv(const ag::Variable& x, const ag::Variable& w,
+                             const std::shared_ptr<const PackedWeight>& wp,
+                             const ag::Variable& b, int64_t stride,
+                             int64_t padding, int64_t nc) {
+  ag::NoGradGuard no_grad;
+  ag::GraphRecorder rec;
+  rec.add_input(x);
+  const ag::Variable out = ag::conv2d_prepacked(x, w, wp, b, stride, padding);
+  rec.mark_output(out);
+  const std::shared_ptr<ag::CapturedGraph> g = rec.finish();
+  ag::CaptureNode& node = g->nodes.at(0);
+  node.tuning->nc = nc;
+  Tensor res = Tensor::full(out.shape(), -7.f);
+  const float* ins[] = {x.value().data()};
+  float* outs[] = {res.data()};
+  node.run(ag::ReplayIO{ins, outs});
+  return res;
+}
+
+TEST(ConvGemm, ConvCoreMatchesKOrderedReferenceBitwise) {
+  struct Geometry {
+    int64_t n, cin, h, w, k, stride, pad;
+  };
+  const std::vector<Geometry> geometries = {
+      {2, 3, 7, 7, 3, 1, 1},     // width 7: tiles straddle output rows
+      {1, 2, 5, 13, 3, 1, 1},    // width 13: blocks start mid-row
+      {1, 2, 3, 128, 3, 1, 1},   // width 128: contiguous full tiles
+      {2, 2, 6, 5, 3, 1, 1},     // width 5 < NR
+      {1, 4, 1, 40, 3, 1, 1},    // h = 1: halo rows are all padding
+      {1, 2, 2, 300, 3, 1, 1},   // blocks inside one output row
+      {1, 3, 6, 9, 1, 1, 1},     // k = 1, pad 1 (not pointwise)
+      {1, 2, 3, 4, 1, 1, 2},     // k = 1, pad 2: all-padding columns
+      {2, 3, 8, 8, 3, 1, 0},     // k = 3, pad 0
+      {1, 2, 7, 10, 3, 1, 2},    // k = 3, pad 2
+      {1, 2, 9, 11, 5, 1, 2},    // k = 5, pad 2
+      {1, 2, 9, 12, 5, 1, 0},    // k = 5, pad 0
+      {1, 64, 4, 16, 3, 1, 1},   // CKK 576: two K steps through koff
+      {2, 3, 13, 13, 4, 2, 1},   // stride 2: stays on the gather path
+      {1, 2, 9, 9, 3, 2, 1},     // stride 2, 3x3
+  };
+#if defined(__FMA__)
+  // -march=native may contract this TU's reference loop into FMAs.
+  const float tol = 1e-4f;
+#else
+  const float tol = 0.f;
+#endif
+  auto g = test::rng(97);
+  for (const Geometry& geo : geometries) {
+    for (const int64_t m : {1, 3, 4, 8, 16}) {
+      const Tensor x = Tensor::randn({geo.n, geo.cin, geo.h, geo.w}, g);
+      const Tensor w =
+          Tensor::randn({m, geo.cin, geo.k, geo.k}, g, 0.f, 0.5f);
+      const Tensor bias = Tensor::randn({m}, g);
+      const Tensor ref = k_ordered_conv2d(x, w, bias, geo.stride, geo.pad);
+      const ag::Variable xv(x), wv(w), bv(bias);
+      const auto wp = std::make_shared<const PackedWeight>(
+          GemmLayout::kNN, w.data(), m, geo.cin * geo.k * geo.k,
+          Precision::kFp32);
+      for (const int threads : {1, 3}) {
+        runtime::ThreadPool pool(threads);
+        runtime::ScopedPool scope(&pool);
+        std::ostringstream what;
+        what << "cin=" << geo.cin << " h=" << geo.h << " w=" << geo.w
+             << " k=" << geo.k << " stride=" << geo.stride
+             << " pad=" << geo.pad << " m=" << m << " threads=" << threads;
+        EXPECT_LE(test::max_abs_diff(
+                      ag::conv2d(xv, wv, bv, geo.stride, geo.pad).value(),
+                      ref),
+                  tol)
+            << "per-call " << what.str();
+        for (const int64_t nc : {0, 128, 512}) {
+          EXPECT_LE(test::max_abs_diff(
+                        replay_prepacked_conv(xv, wv, wp, bv, geo.stride,
+                                              geo.pad, nc),
+                        ref),
+                    tol)
+              << "prepacked nc=" << nc << " " << what.str();
+        }
+      }
+    }
   }
 }
 

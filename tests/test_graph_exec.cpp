@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "autograd/grad_mode.h"
@@ -143,6 +144,24 @@ TEST(GraphExec, PlanCacheBuildsOncePerShapeAndReuses) {
 
   engine.predict_batch({tile_mask, tile_mask, tile_mask});
   EXPECT_EQ(engine.plan_count(), after_pair + 1);  // new shape => new plan
+  EXPECT_EQ(engine.plan_fallbacks(), 0);
+}
+
+TEST(GraphExec, UnrunnableShapesAreRejectedBeforeAnyPlan) {
+  // DoinnConfig::small(): 32 px and 64 px pooled grids cannot hold 7 modes,
+  // 120 px is not divisible by 32. Each must be a typed request error that
+  // neither builds a plan nor counts as an executor fallback.
+  runtime::InferenceEngine engine(core::DoinnConfig::small(), 5,
+                                  engine_opts(Precision::kFp32, 1, true));
+  const int64_t plans = engine.plan_count();
+  const int64_t fallbacks = engine.plan_fallbacks();
+  for (const int64_t side : {32, 64, 120}) {
+    const Tensor mask = random_mask(side, 31);
+    EXPECT_THROW(engine.predict_batch({mask}), std::invalid_argument) << side;
+    EXPECT_THROW(engine.predict(mask), std::invalid_argument) << side;
+  }
+  EXPECT_EQ(engine.plan_count(), plans);
+  EXPECT_EQ(engine.plan_fallbacks(), fallbacks);
   EXPECT_EQ(engine.plan_fallbacks(), 0);
 }
 
